@@ -4,29 +4,35 @@
 //! simultaneous events fire in insertion order, which keeps every run
 //! bit-for-bit deterministic.
 //!
-//! # Implementation: calendar wheel + overflow heap
+//! # Implementation: calendar wheel over one node arena + overflow heap
 //!
-//! The queue is a single-level calendar (timing) wheel of
-//! [`NUM_SLOTS`] ring slots, each [`SLOT_NS`] nanoseconds wide, covering a
+//! The queue is a single-level calendar (timing) wheel of 8192 ring
+//! slots (`NUM_SLOTS`), each 2^17 ns (2^`SLOT_SHIFT`) wide, covering a
 //! horizon of ~1.07 simulated seconds ahead of the clock — which holds
 //! nearly every event a running simulation schedules (device completions,
 //! process steps, writeback ticks). Events beyond the horizon go to a
 //! small binary min-heap and migrate into the wheel as the clock
 //! approaches them; events are never dropped or reordered by migration.
 //!
-//! Within a slot, entries are ordered by `(time, seq)` exactly as the old
-//! `BinaryHeap` implementation ordered the whole queue: a slot is sorted
-//! lazily the first time the cursor pops from it, and later insertions
-//! into the *current* slot binary-search their position, so strict
-//! FIFO-by-`seq` within a tick is preserved and the pop sequence is
-//! byte-identical to a global `(time, seq)` heap (a property-tested
-//! invariant, see `wheel_matches_reference_heap_on_fuzzed_schedules`).
+//! Slots own no storage. Every pending wheel event lives in one shared
+//! node arena, and a slot is an intrusive singly linked list through it
+//! (`heads[slot]`, `NIL` = empty); freed nodes are recycled through a
+//! free list. The cursor slot is the exception: when the cursor moves
+//! onto a slot, its list is drained into one reusable `cur` vector and
+//! sorted once, descending by `(time, seq)`, so pops take from the back
+//! and later insertions into the cursor slot binary-search their
+//! position. Strict FIFO-by-`seq` within a tick is preserved and the pop
+//! sequence is byte-identical to a global `(time, seq)` heap (a
+//! property-tested invariant, see
+//! `wheel_matches_reference_heap_on_fuzzed_schedules`).
 //!
-//! Pushes append to a `Vec` slot and pops scan a 1 Kbit occupancy bitmap,
-//! so the steady state allocates nothing once slot vectors have reached
-//! their high-water capacity.
+//! Building a queue is one allocation (the list heads) and dropping it
+//! frees a handful of buffers; pushes link a node and pops scan a 1 Kbit
+//! occupancy bitmap, so the steady state allocates nothing once the
+//! arena and `cur` reach their high-water size, and a warm queue's
+//! memory is bounded by its high-water number of pending events.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::prof::{Phase, Profiler};
@@ -39,6 +45,8 @@ const SLOT_SHIFT: u32 = 17;
 const NUM_SLOTS: usize = 1 << 13;
 /// Words in the slot-occupancy bitmap.
 const OCC_WORDS: usize = NUM_SLOTS / 64;
+/// Null arena index: the end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// An event scheduled for a future instant, carrying a caller-defined
 /// payload `E` (the kernel crate uses an enum of everything that can
@@ -53,11 +61,18 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-/// A wheel-slot entry (also the overflow-heap entry payload).
+/// A pending event (wheel node, cursor-slot, or overflow-heap entry).
 struct Entry<E> {
     time: SimTime,
     seq: u64,
     payload: E,
+}
+
+/// An arena node: a pending event linked into its slot's list, or a
+/// free node (`entry == None`) linked into the free list.
+struct Node<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
 }
 
 /// Overflow-heap wrapper: reversed `(time, seq)` order makes
@@ -90,6 +105,11 @@ fn tick_of(t: SimTime) -> u64 {
     t.as_nanos() >> SLOT_SHIFT
 }
 
+#[inline]
+fn slot_of(tick: u64) -> usize {
+    (tick as usize) & (NUM_SLOTS - 1)
+}
+
 /// A deterministic earliest-first event queue.
 ///
 /// The queue also tracks the current simulation time: popping an event
@@ -98,30 +118,24 @@ fn tick_of(t: SimTime) -> u64 {
 /// release builds count the violation in [`EventQueue::late_schedules`],
 /// which the kernel's drain path and the check harness treat as fatal.
 pub struct EventQueue<E> {
-    /// Ring of calendar slots; slot `tick & (NUM_SLOTS-1)` holds events
-    /// whose slot number is `tick`, for ticks within the current horizon
-    /// window `[cursor_tick, cursor_tick + NUM_SLOTS)`.
-    slots: Box<[Vec<Entry<E>>]>,
+    /// Node arena shared by every slot list and the free list.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list.
+    free: u32,
+    /// Ring of slot-list heads: slot `tick & (NUM_SLOTS-1)` lists the
+    /// events whose slot number is `tick`, for ticks within the horizon
+    /// window `(cursor_tick, cursor_tick + NUM_SLOTS)`. The cursor
+    /// slot's list is always empty; its events are in `cur`.
+    heads: Box<[u32]>,
+    /// The cursor slot's events, sorted descending by `(time, seq)`
+    /// (pops take from the back).
+    cur: Vec<Entry<E>>,
     /// One bit per slot: set iff the slot is non-empty.
     occ: [u64; OCC_WORDS],
-    /// How many slots have been pre-sized (see `schedule_unchecked`).
-    /// A cold slot's first-ever push would lazily allocate its entry
-    /// buffer — a slow trickle (coupon-collector over the ring) that
-    /// would break the zero-allocation steady state long after warmup.
-    /// Pre-sizing all slots at construction instead would put ~8k
-    /// allocations on every `new()`, swamping short-lived worlds (the
-    /// check fuzzer builds thousands), so each push warms a few more
-    /// slots until the whole ring is covered: long-lived queues go
-    /// allocation-quiet within their first ~2k events, short-lived
-    /// ones never pay for slots they don't reach.
-    prepped: usize,
     /// Absolute slot number the pop cursor is at (slot of `now`, or of
     /// the next overflow event after a jump across an empty stretch).
     cursor_tick: u64,
-    /// Whether the cursor slot's vector is sorted descending by
-    /// `(time, seq)` (pops take from the back).
-    cur_sorted: bool,
-    /// Events currently stored in wheel slots.
+    /// Events currently stored in the wheel (`cur` plus slot lists).
     wheel_len: usize,
     /// Far-future events (≥ one horizon ahead of the cursor).
     overflow: BinaryHeap<OverflowEntry<E>>,
@@ -144,11 +158,12 @@ impl<E> EventQueue<E> {
     /// An empty queue at t = 0.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; NUM_SLOTS].into_boxed_slice(),
+            cur: Vec::new(),
             occ: [0; OCC_WORDS],
-            prepped: 0,
             cursor_tick: 0,
-            cur_sorted: false,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             now: SimTime::ZERO,
@@ -227,14 +242,6 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        // Amortized slot pre-sizing; see the `prepped` field doc.
-        if self.prepped < NUM_SLOTS {
-            let end = (self.prepped + 4).min(NUM_SLOTS);
-            for s in &mut self.slots[self.prepped..end] {
-                s.reserve(8);
-            }
-            self.prepped = end;
-        }
         // Profiling folded into one branch: the common disabled path pays
         // a single `Option` check and nothing else.
         if let Some(p) = self.prof.clone() {
@@ -289,19 +296,50 @@ impl<E> EventQueue<E> {
     }
 
     fn wheel_insert(&mut self, tick: u64, e: Entry<E>) {
-        let slot = (tick as usize) & (NUM_SLOTS - 1);
-        let v = &mut self.slots[slot];
-        if tick == self.cursor_tick && self.cur_sorted {
-            // The cursor already sorted this slot (descending); keep it
-            // ordered so pops stay O(1) from the back.
+        let slot = slot_of(tick);
+        if tick == self.cursor_tick {
+            // Keep the cursor slot sorted so pops stay O(1) from the back.
             let key = (e.time, e.seq);
-            let pos = v.partition_point(|x| (x.time, x.seq) > key);
-            v.insert(pos, e);
+            let pos = self.cur.partition_point(|x| (x.time, x.seq) > key);
+            self.cur.insert(pos, e);
         } else {
-            v.push(e);
+            let node = Node {
+                entry: Some(e),
+                next: self.heads[slot],
+            };
+            let idx = if self.free == NIL {
+                assert!(self.nodes.len() < NIL as usize, "event arena full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            } else {
+                let idx = self.free;
+                let n = &mut self.nodes[idx as usize];
+                self.free = n.next;
+                *n = node;
+                idx
+            };
+            self.heads[slot] = idx;
         }
         self.occ[slot >> 6] |= 1 << (slot & 63);
         self.wheel_len += 1;
+    }
+
+    /// Move the (empty) cursor to `tick`: drain that slot's list into
+    /// `cur`, free its nodes, and sort `cur` for popping.
+    fn advance_cursor(&mut self, tick: u64) {
+        debug_assert!(self.cur.is_empty(), "cursor left a non-empty slot");
+        self.cursor_tick = tick;
+        let mut i = std::mem::replace(&mut self.heads[slot_of(tick)], NIL);
+        while i != NIL {
+            let n = &mut self.nodes[i as usize];
+            let next = n.next;
+            self.cur
+                .push(n.entry.take().expect("listed node holds an event"));
+            n.next = self.free;
+            self.free = i;
+            i = next;
+        }
+        self.cur.sort_unstable_by_key(|e| Reverse((e.time, e.seq)));
     }
 
     /// Move overflow events that have come within the horizon into the
@@ -323,7 +361,7 @@ impl<E> EventQueue<E> {
         if self.wheel_len == 0 {
             return None;
         }
-        let start = (self.cursor_tick as usize) & (NUM_SLOTS - 1);
+        let start = slot_of(self.cursor_tick);
         let mut word_i = start >> 6;
         let mut word = self.occ[word_i] & (!0u64 << (start & 63));
         for _ in 0..=OCC_WORDS {
@@ -341,44 +379,38 @@ impl<E> EventQueue<E> {
     /// Earliest event time stored in the wheel, if any.
     fn peek_wheel_time(&self) -> Option<SimTime> {
         let tick = self.next_wheel_tick()?;
-        let slot = (tick as usize) & (NUM_SLOTS - 1);
-        let v = &self.slots[slot];
-        if tick == self.cursor_tick && self.cur_sorted {
-            v.last().map(|e| e.time)
-        } else {
-            v.iter().map(|e| e.time).min()
+        if tick == self.cursor_tick {
+            return self.cur.last().map(|e| e.time);
         }
+        let mut min: Option<SimTime> = None;
+        let mut i = self.heads[slot_of(tick)];
+        while i != NIL {
+            let n = &self.nodes[i as usize];
+            let t = n.entry.as_ref().expect("listed node holds an event").time;
+            min = Some(min.map_or(t, |m| m.min(t)));
+            i = n.next;
+        }
+        min
     }
 
     fn pop_inner(&mut self) -> Option<ScheduledEvent<E>> {
         self.migrate_due();
-        let tick = match self.next_wheel_tick() {
-            Some(t) => t,
+        match self.next_wheel_tick() {
+            Some(tick) if tick != self.cursor_tick => self.advance_cursor(tick),
+            Some(_) => {}
             None => {
-                if self.overflow.is_empty() {
-                    return None;
-                }
                 // The wheel is empty and every pending event is beyond the
-                // horizon: jump the window to the earliest one.
-                let min_tick = tick_of(self.overflow.peek().expect("nonempty").0.time);
+                // horizon: jump the window to the earliest one, which then
+                // migrates into the cursor slot.
+                let min_tick = tick_of(self.overflow.peek()?.0.time);
                 self.cursor_tick = min_tick;
-                self.cur_sorted = false;
                 self.migrate_due();
-                self.next_wheel_tick().expect("just migrated")
             }
-        };
-        if tick != self.cursor_tick {
-            self.cursor_tick = tick;
-            self.cur_sorted = false;
         }
-        let slot = (tick as usize) & (NUM_SLOTS - 1);
-        if !self.cur_sorted {
-            self.slots[slot].sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-            self.cur_sorted = true;
-        }
-        let e = self.slots[slot].pop().expect("occupied slot");
+        let e = self.cur.pop().expect("occupied cursor slot");
         self.wheel_len -= 1;
-        if self.slots[slot].is_empty() {
+        if self.cur.is_empty() {
+            let slot = slot_of(self.cursor_tick);
             self.occ[slot >> 6] &= !(1 << (slot & 63));
         }
         self.now = e.time;
@@ -498,6 +530,78 @@ mod tests {
         assert!(q.now() > SimTime::from_nanos(7 << 30));
     }
 
+    /// A wheel under test driven in lockstep with a reference
+    /// `(time, seq)` binary heap; every pop must agree exactly.
+    struct Differential {
+        wheel: EventQueue<u64>,
+        reference: BinaryHeap<std::cmp::Reverse<(SimTime, u64, u64)>>,
+        next_id: u64,
+        ref_now: SimTime,
+        seed: u64,
+        /// Most events ever pending at once.
+        high_water: usize,
+    }
+
+    impl Differential {
+        fn new(seed: u64) -> Self {
+            Differential {
+                wheel: EventQueue::new(),
+                reference: BinaryHeap::new(),
+                next_id: 0,
+                ref_now: SimTime::ZERO,
+                seed,
+                high_water: 0,
+            }
+        }
+
+        /// Schedule one event `offset` ns after the wheel's clock.
+        fn push(&mut self, offset: u64) {
+            let t = self.wheel.now() + SimDuration::from_nanos(offset);
+            self.wheel.schedule(t, self.next_id);
+            // The event's id doubles as its sequence number.
+            self.reference.push(std::cmp::Reverse((
+                t.max(self.ref_now),
+                self.next_id,
+                self.next_id,
+            )));
+            self.next_id += 1;
+            self.high_water = self.high_water.max(self.wheel.len());
+        }
+
+        /// Pop one event from both; returns whether one was there.
+        fn pop(&mut self) -> bool {
+            let seed = self.seed;
+            match (self.wheel.pop(), self.reference.pop()) {
+                (None, None) => false,
+                (Some(g), Some(std::cmp::Reverse((t, s, id)))) => {
+                    assert_eq!(
+                        (g.time, g.seq, g.payload),
+                        (t, s, id),
+                        "divergence at seed {seed}"
+                    );
+                    self.ref_now = t;
+                    true
+                }
+                (g, w) => panic!(
+                    "length divergence at seed {seed}: wheel={:?} ref={:?}",
+                    g.map(|e| e.payload),
+                    w.map(|r| r.0 .2)
+                ),
+            }
+        }
+
+        fn check_len(&self) {
+            assert_eq!(self.wheel.len(), self.reference.len());
+        }
+
+        /// Drain both completely.
+        fn drain(&mut self) {
+            while self.pop() {}
+            assert!(self.wheel.is_empty());
+            assert_eq!(self.wheel.late_schedules(), 0);
+        }
+    }
+
     /// The tentpole invariant: the wheel pops in *identical* `(time, seq)`
     /// order to a reference `(time, seq)` binary heap over fuzzed
     /// schedules mixing same-tick floods, sub-slot jitter, in-horizon
@@ -506,12 +610,7 @@ mod tests {
     fn wheel_matches_reference_heap_on_fuzzed_schedules() {
         for seed in 0..20u64 {
             let mut rng = SimRng::seed_from_u64(0xca1e_4da2 ^ seed);
-            let mut wheel: EventQueue<u64> = EventQueue::new();
-            let mut reference: BinaryHeap<std::cmp::Reverse<(SimTime, u64, u64)>> =
-                BinaryHeap::new();
-            let mut next_id = 0u64;
-            let mut ref_seq = 0u64;
-            let mut ref_now = SimTime::ZERO;
+            let mut d = Differential::new(seed);
             for _ in 0..2_000 {
                 let burst = match rng.gen_range(4) {
                     0 => rng.gen_range(20) + 1, // same-instant flood
@@ -525,43 +624,79 @@ mod tests {
                     4 => (1 << 30) + rng.gen_range(1 << 32),  // deep overflow
                     _ => rng.gen_range(1 << 21),              // nearby slots
                 };
-                let t = wheel.now() + SimDuration::from_nanos(offset);
                 for _ in 0..burst {
-                    wheel.schedule(t, next_id);
-                    reference.push(std::cmp::Reverse((t.max(ref_now), ref_seq, next_id)));
-                    ref_seq += 1;
-                    next_id += 1;
+                    d.push(offset);
                 }
                 // Pop a few events (sometimes none) to advance the clock.
                 for _ in 0..rng.gen_range(4) {
-                    let got = wheel.pop();
-                    let want = reference.pop();
-                    match (got, want) {
-                        (None, None) => {}
-                        (Some(g), Some(std::cmp::Reverse((t, s, id)))) => {
-                            assert_eq!(
-                                (g.time, g.seq, g.payload),
-                                (t, s, id),
-                                "divergence at seed {seed}"
-                            );
-                            ref_now = t;
+                    d.pop();
+                }
+                d.check_len();
+            }
+            d.drain();
+        }
+    }
+
+    /// The arena's own edge cases against the same reference heap: long
+    /// interleavings in which nodes freed by one slot's drain are relinked
+    /// into other slots, bursts of jittered inserts into the sorted cursor
+    /// slot, and overflow jumps taken while the arena holds free nodes.
+    /// The arena never grows past the high-water number of pending
+    /// events.
+    #[test]
+    fn wheel_arena_recycles_nodes_like_reference_heap() {
+        for seed in 0..20u64 {
+            let mut rng = SimRng::seed_from_u64(0xa2e4_a000 ^ seed);
+            let mut d = Differential::new(seed);
+            for round in 0..400 {
+                match rng.gen_range(3) {
+                    // Steady churn across many slots: every pop frees a
+                    // node that the next pushes relink elsewhere.
+                    0 => {
+                        for _ in 0..rng.gen_range(64) + 1 {
+                            d.push(rng.gen_range(1 << 26));
+                            d.pop();
+                            d.push(rng.gen_range(1 << 23));
                         }
-                        (g, w) => panic!(
-                            "length divergence at seed {seed}: wheel={:?} ref={:?}",
-                            g.map(|e| e.payload),
-                            w.map(|r| r.0 .2)
-                        ),
+                    }
+                    // Load a cursor slot, then burst jittered inserts into
+                    // it so they binary-search into the sorted run.
+                    1 => {
+                        d.push(rng.gen_range(1 << 20));
+                        d.pop();
+                        let tick_left = (1 << SLOT_SHIFT)
+                            - (d.wheel.now().as_nanos() & ((1 << SLOT_SHIFT) - 1));
+                        for _ in 0..rng.gen_range(48) + 1 {
+                            d.push(rng.gen_range(tick_left));
+                        }
+                    }
+                    // Empty the wheel (its nodes go to the free list), then
+                    // force jumps to far-future ticks holding several
+                    // events each.
+                    _ => {
+                        while d.wheel.wheel_len > 0 {
+                            d.pop();
+                        }
+                        for _ in 0..rng.gen_range(6) + 1 {
+                            let far = (1 << 30) + rng.gen_range(1 << 34);
+                            for _ in 0..rng.gen_range(8) + 1 {
+                                d.push(far + rng.gen_range(1 << SLOT_SHIFT));
+                            }
+                        }
                     }
                 }
-                assert_eq!(wheel.len(), reference.len());
+                for _ in 0..rng.gen_range(40) {
+                    d.pop();
+                }
+                d.check_len();
+                assert!(
+                    d.wheel.nodes.len() <= d.high_water,
+                    "seed {seed} round {round}: arena {} nodes > high water {}",
+                    d.wheel.nodes.len(),
+                    d.high_water
+                );
             }
-            // Drain both completely.
-            while let Some(std::cmp::Reverse((t, s, id))) = reference.pop() {
-                let g = wheel.pop().expect("wheel drains with reference");
-                assert_eq!((g.time, g.seq, g.payload), (t, s, id));
-            }
-            assert!(wheel.pop().is_none());
-            assert_eq!(wheel.late_schedules(), 0);
+            d.drain();
         }
     }
 }

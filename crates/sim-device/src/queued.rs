@@ -165,8 +165,8 @@ impl QueuedDevice {
     }
 
     /// Accept a request into the hardware queue. Returns the slot it
-    /// occupies and any requests that thereby entered service (possibly
-    /// including this one).
+    /// occupies and appends to `started` any requests that thereby
+    /// entered service (possibly including this one).
     ///
     /// # Panics
     ///
@@ -176,7 +176,8 @@ impl QueuedDevice {
         id: RequestId,
         shape: DiskRequestShape,
         spike: Option<f64>,
-    ) -> (u32, Vec<Started>) {
+        started: &mut Vec<Started>,
+    ) -> u32 {
         let slot = self
             .free_slots
             .pop()
@@ -190,16 +191,18 @@ impl QueuedDevice {
             spike,
             seq,
         });
-        (slot, self.kick())
+        self.kick(started);
+        slot
     }
 
     /// Complete the in-service request `id`, freeing its slot. Returns
-    /// the slot and any requests that entered service as a result.
+    /// the slot and appends to `started` any requests that entered
+    /// service as a result.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not in service (double completion).
-    pub fn complete(&mut self, id: RequestId) -> (u32, Vec<Started>) {
+    pub fn complete(&mut self, id: RequestId, started: &mut Vec<Started>) -> u32 {
         let idx = self
             .active
             .iter()
@@ -210,12 +213,13 @@ impl QueuedDevice {
         // Keep the free list sorted descending so the smallest tag is
         // always reused first, independent of completion order.
         self.free_slots.sort_unstable_by(|a, b| b.cmp(a));
-        (done.slot, self.kick())
+        self.kick(started);
+        done.slot
     }
 
-    /// Move waiting requests into service wherever a server is free.
-    fn kick(&mut self) -> Vec<Started> {
-        let mut started = Vec::new();
+    /// Move waiting requests into service wherever a server is free,
+    /// appending them to `started`.
+    fn kick(&mut self, started: &mut Vec<Started>) {
         if self.model.is_rotational() {
             // One actuator; SPTF over the queued set.
             while self.active.is_empty() && !self.waiting.is_empty() {
@@ -248,7 +252,6 @@ impl QueuedDevice {
                 started.push(self.start(w, ch));
             }
         }
-        started
     }
 
     fn channel_of(&self, shape: &DiskRequestShape) -> u32 {
@@ -284,6 +287,23 @@ mod tests {
     use crate::{HddModel, IoDir, SsdModel};
     use sim_core::BlockNo;
 
+    /// [`QueuedDevice::accept`] with its own `started` buffer.
+    fn accept(
+        dev: &mut QueuedDevice,
+        id: RequestId,
+        shape: DiskRequestShape,
+        spike: Option<f64>,
+    ) -> (u32, Vec<Started>) {
+        let mut started = Vec::new();
+        (dev.accept(id, shape, spike, &mut started), started)
+    }
+
+    /// [`QueuedDevice::complete`] with its own `started` buffer.
+    fn complete(dev: &mut QueuedDevice, id: RequestId) -> (u32, Vec<Started>) {
+        let mut started = Vec::new();
+        (dev.complete(id, &mut started), started)
+    }
+
     fn rd(start: u64) -> DiskRequestShape {
         DiskRequestShape::new(IoDir::Read, BlockNo(start), 8)
     }
@@ -296,12 +316,12 @@ mod tests {
         for (i, start) in [0u64, 1_000_000, 42, 999_999].iter().enumerate() {
             let shape = rd(*start);
             let want = serial.service_time(&shape);
-            let (slot, started) = dev.accept(RequestId(i as u64), shape, None);
+            let (slot, started) = accept(&mut dev, RequestId(i as u64), shape, None);
             assert_eq!(slot, 0, "depth 1 always uses slot 0");
             assert_eq!(started.len(), 1, "free device starts immediately");
             assert_eq!(started[0].service, want, "identical service times");
             assert!(!dev.can_accept(), "single slot now occupied");
-            let (freed, next) = dev.complete(RequestId(i as u64));
+            let (freed, next) = complete(&mut dev, RequestId(i as u64));
             assert_eq!(freed, 0);
             assert!(next.is_empty());
         }
@@ -312,21 +332,21 @@ mod tests {
         let mut dev =
             QueuedDevice::new(Box::new(HddModel::new()), QueuedDeviceConfig::with_depth(8));
         // First request seizes the actuator (head starts at block 0).
-        let (_, s) = dev.accept(RequestId(1), rd(0), None);
+        let (_, s) = accept(&mut dev, RequestId(1), rd(0), None);
         assert_eq!(s[0].id, RequestId(1));
         // Queue a far request, then a near one. On completion the near
         // one must win the SPTF race despite arriving later.
         let far = DiskRequestShape::new(IoDir::Read, BlockNo(80_000_000), 8);
         let near = DiskRequestShape::new(IoDir::Read, BlockNo(16), 8);
-        let (_, s) = dev.accept(RequestId(2), far, None);
+        let (_, s) = accept(&mut dev, RequestId(2), far, None);
         assert!(s.is_empty(), "actuator busy");
-        let (_, s) = dev.accept(RequestId(3), near, None);
+        let (_, s) = accept(&mut dev, RequestId(3), near, None);
         assert!(s.is_empty());
         assert_eq!(dev.in_flight(), 3);
-        let (_, s) = dev.complete(RequestId(1));
+        let (_, s) = complete(&mut dev, RequestId(1));
         assert_eq!(s.len(), 1, "one actuator: exactly one successor");
         assert_eq!(s[0].id, RequestId(3), "near request jumps the far one");
-        let (_, s) = dev.complete(RequestId(3));
+        let (_, s) = complete(&mut dev, RequestId(3));
         assert_eq!(s[0].id, RequestId(2));
     }
 
@@ -339,14 +359,14 @@ mod tests {
         };
         let mut dev = QueuedDevice::new(Box::new(SsdModel::new()), cfg);
         // Stripes 0 and 1 → channels 0 and 1: both start at once.
-        let (_, s) = dev.accept(RequestId(1), rd(0), None);
+        let (_, s) = accept(&mut dev, RequestId(1), rd(0), None);
         assert_eq!(s.len(), 1);
-        let (_, s) = dev.accept(RequestId(2), rd(64), None);
+        let (_, s) = accept(&mut dev, RequestId(2), rd(64), None);
         assert_eq!(s.len(), 1, "distinct channel overlaps");
         // Another stripe-0 request shares channel 0: it must wait.
-        let (_, s) = dev.accept(RequestId(3), rd(8), None);
+        let (_, s) = accept(&mut dev, RequestId(3), rd(8), None);
         assert!(s.is_empty(), "same channel serializes");
-        let (_, s) = dev.complete(RequestId(1));
+        let (_, s) = complete(&mut dev, RequestId(1));
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].id, RequestId(3), "channel 0 freed for its queue");
     }
@@ -355,12 +375,12 @@ mod tests {
     fn slots_are_reused_smallest_first() {
         let mut dev =
             QueuedDevice::new(Box::new(HddModel::new()), QueuedDeviceConfig::with_depth(4));
-        let (s0, _) = dev.accept(RequestId(1), rd(0), None);
-        let (s1, _) = dev.accept(RequestId(2), rd(8), None);
-        let (s2, _) = dev.accept(RequestId(3), rd(16), None);
+        let (s0, _) = accept(&mut dev, RequestId(1), rd(0), None);
+        let (s1, _) = accept(&mut dev, RequestId(2), rd(8), None);
+        let (s2, _) = accept(&mut dev, RequestId(3), rd(16), None);
         assert_eq!((s0, s1, s2), (0, 1, 2));
-        dev.complete(RequestId(1));
-        let (s3, _) = dev.accept(RequestId(4), rd(24), None);
+        complete(&mut dev, RequestId(1));
+        let (s3, _) = accept(&mut dev, RequestId(4), rd(24), None);
         assert_eq!(s3, 0, "freed tag 0 reused before tag 3");
     }
 
@@ -377,16 +397,16 @@ mod tests {
         shaken.install_chaos(jitter);
         let mut stretched_any = false;
         for i in 0..64u64 {
-            let (_, a) = plain.accept(RequestId(i), rd(i * 8), None);
-            let (_, b) = shaken.accept(RequestId(i), rd(i * 8), None);
+            let (_, a) = accept(&mut plain, RequestId(i), rd(i * 8), None);
+            let (_, b) = accept(&mut shaken, RequestId(i), rd(i * 8), None);
             assert!(b[0].service >= a[0].service, "chaos only adds time");
             assert!(
                 b[0].service <= a[0].service.mul_f64(1.5 + 1e-9),
                 "stretch stays within the configured bound"
             );
             stretched_any |= b[0].service > a[0].service;
-            plain.complete(RequestId(i));
-            shaken.complete(RequestId(i));
+            complete(&mut plain, RequestId(i));
+            complete(&mut shaken, RequestId(i));
         }
         assert!(stretched_any, "the jitter stream must actually perturb");
     }
@@ -397,8 +417,8 @@ mod tests {
             QueuedDevice::new(Box::new(SsdModel::new()), QueuedDeviceConfig::with_depth(1));
         let mut spiked =
             QueuedDevice::new(Box::new(SsdModel::new()), QueuedDeviceConfig::with_depth(1));
-        let (_, a) = plain.accept(RequestId(1), rd(0), None);
-        let (_, b) = spiked.accept(RequestId(1), rd(0), Some(3.0));
+        let (_, a) = accept(&mut plain, RequestId(1), rd(0), None);
+        let (_, b) = accept(&mut spiked, RequestId(1), rd(0), Some(3.0));
         assert_eq!(b[0].service, a[0].service.mul_f64(3.0));
     }
 }

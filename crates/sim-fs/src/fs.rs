@@ -360,26 +360,12 @@ impl JournaledFs {
         let mut pending: FastSet<IoToken> = FastSet::default();
         // Ordered mode: flush dirty data of every file in the transaction,
         // and also wait for that data's already-in-flight writes.
-        for &file in &txn.ordered.clone() {
-            if let Some(inflight) = self.inflight_data.get(&file) {
+        for file in &txn.ordered {
+            if let Some(inflight) = self.inflight_data.get(file) {
                 pending.extend(inflight.iter().copied());
             }
         }
-        let ordered = txn.ordered.clone();
-        self.commit = Some(Commit {
-            txn,
-            phase: CommitPhase::FlushingData,
-            pending: FastSet::default(), // placeholder; set below
-            span: commit_span,
-        });
-        let mut flush_tokens = Vec::new();
-        for file in ordered {
-            let causes = self
-                .commit
-                .as_ref()
-                .map(|c| c.txn.causes.clone())
-                .unwrap_or_default();
-            let _ = causes;
+        for &file in &txn.ordered {
             let toks = self.flush_file_data(
                 file,
                 u64::MAX,
@@ -391,12 +377,16 @@ impl JournaledFs {
                 now,
                 out,
             );
-            flush_tokens.extend(toks);
+            pending.extend(toks);
         }
-        pending.extend(flush_tokens);
-        let commit = self.commit.as_mut().expect("just set");
-        commit.pending = pending;
-        if commit.pending.is_empty() {
+        let flushed = pending.is_empty();
+        self.commit = Some(Commit {
+            txn,
+            phase: CommitPhase::FlushingData,
+            pending,
+            span: commit_span,
+        });
+        if flushed {
             self.write_log(now, out);
         }
     }

@@ -348,6 +348,9 @@ pub struct Kernel {
     /// extents backing each run.
     read_miss_scratch: Vec<(u64, u64)>,
     read_extent_scratch: Vec<Extent>,
+    /// Requests the queued device just moved into service, filled by
+    /// `accept`/`complete` and drained by `schedule_started`.
+    started_scratch: Vec<sim_device::Started>,
     /// Recycled allocations for per-syscall / per-hook state: emptied
     /// `pending_io` sets and `SchedCtx` command buffers go back here and
     /// come out on the next use with their capacity intact. Pools (not
@@ -427,6 +430,7 @@ impl Kernel {
             prof: prof::thread_profiler(),
             read_miss_scratch: Vec::new(),
             read_extent_scratch: Vec::new(),
+            started_scratch: Vec::new(),
             pending_io_pool: Vec::new(),
             sched_cmd_pool: Vec::new(),
         }
@@ -1407,7 +1411,7 @@ impl Kernel {
     fn pump_queued_inner(&mut self, bus: &mut Bus) {
         let now = bus.q.now();
         loop {
-            let (req, slot, started, in_flight, depth) = {
+            let (req, slot, in_flight, depth) = {
                 let ActiveDevice::Queued { dev, mq } = &mut self.device else {
                     return;
                 };
@@ -1421,9 +1425,9 @@ impl Kernel {
                 }
                 let Some(req) = mq.pop_next() else { return };
                 let spike = self.req_meta.get(&req.id).and_then(|m| m.spike);
-                let (slot, started) = dev.accept(req.id, req.shape(), spike);
+                let slot = dev.accept(req.id, req.shape(), spike, &mut self.started_scratch);
                 mq.note_accepted(req.submitter);
-                (req, slot, started, dev.in_flight() as u32, dev.depth())
+                (req, slot, dev.in_flight() as u32, dev.depth())
             };
             if self.audit.is_some() {
                 self.audit_event(
@@ -1456,14 +1460,14 @@ impl Kernel {
                 self.req_meta.entry(req.id).or_default().device_span = ds;
             }
             self.q_inflight.insert(req.id, (req, SimDuration::ZERO));
-            self.schedule_started(started, now, bus);
+            self.schedule_started(now, bus);
         }
     }
 
     /// Record committed service times and schedule completion events for
-    /// requests the device just moved into service.
-    fn schedule_started(&mut self, started: Vec<sim_device::Started>, now: SimTime, bus: &mut Bus) {
-        for s in started {
+    /// requests the device just moved into service (`started_scratch`).
+    fn schedule_started(&mut self, now: SimTime, bus: &mut Bus) {
+        for s in self.started_scratch.drain(..) {
             if let Some(entry) = self.q_inflight.get_mut(&s.id) {
                 entry.1 = s.service;
             }
@@ -1505,13 +1509,13 @@ impl Kernel {
             return;
         };
         let now = bus.q.now();
-        let (slot, started, in_flight) = {
+        let (slot, in_flight) = {
             let ActiveDevice::Queued { dev, mq } = &mut self.device else {
                 unreachable!("routed here on the queued plane");
             };
-            let (slot, started) = dev.complete(req_id);
+            let slot = dev.complete(req_id, &mut self.started_scratch);
             mq.note_done(req.submitter);
-            (slot, started, dev.in_flight() as u32)
+            (slot, dev.in_flight() as u32)
         };
         if self.audit.is_some() {
             self.audit_event(
@@ -1527,7 +1531,7 @@ impl Kernel {
             self.tracer
                 .gauge("device.queue_depth", now, in_flight as f64);
         }
-        self.schedule_started(started, now, bus);
+        self.schedule_started(now, bus);
         self.finish_request(req, service, bus);
     }
 
@@ -1679,11 +1683,8 @@ impl Kernel {
             && self.effective_dirty() < self.cache.config().dirty_limit_pages()
         {
             // The scheduler chooses the admission order (default: FIFO).
-            let waiters: Vec<Pid> = self.dirty_waiters.iter().copied().collect();
-            let idx = self
-                .sched
-                .pick_dirty_waiter(&waiters)
-                .min(waiters.len() - 1);
+            let waiters = self.dirty_waiters.make_contiguous();
+            let idx = self.sched.pick_dirty_waiter(waiters).min(waiters.len() - 1);
             let pid = self.dirty_waiters.remove(idx).expect("bounded index");
             if self
                 .procs

@@ -269,17 +269,27 @@ impl Layered {
         self.layers.iter().map(|l| l.spec.name.as_str()).collect()
     }
 
+    /// Dirty-admission rank of layer `l` (lower goes first): latency
+    /// layers, then tree order.
+    fn admit_rank(&self, l: usize) -> usize {
+        if self.layers[l].latency_prio() {
+            0
+        } else {
+            l + 1
+        }
+    }
+
     fn classify_pid(&mut self, pid: Pid) -> usize {
         if let Some(&i) = self.assign.get(&pid) {
             return i;
         }
-        let specs: Vec<&LayerSpec> = self.layers.iter().map(|l| &l.spec).collect();
         let name = self.names.get(&pid).copied();
         let class = self.classes.get(&pid).copied();
-        let i = specs
+        let i = self
+            .layers
             .iter()
-            .position(|s| s.rule.matches(pid, name, class))
-            .unwrap_or(specs.len() - 1);
+            .position(|l| l.spec.rule.matches(pid, name, class))
+            .unwrap_or(self.layers.len() - 1);
         self.assign.insert(pid, i);
         i
     }
@@ -824,31 +834,27 @@ impl IoSched for Layered {
         if self.passthrough {
             return self.layers[0].child.pick_dirty_waiter(waiters);
         }
-        // All in one layer: that child's policy decides.
-        let first = waiters.first().map(|&p| self.classify_pid(p));
-        if let Some(f) = first {
-            let layers: Vec<usize> = waiters.iter().map(|&p| self.classify_pid(p)).collect();
-            if layers.iter().all(|&l| l == f) {
-                return self.layers[f].child.pick_dirty_waiter(waiters);
+        let Some(&first) = waiters.first() else {
+            return 0;
+        };
+        // Cross-layer: admit the highest-ranked layer's writer first
+        // (latency layers, then tree order), FIFO within a layer.
+        let f = self.classify_pid(first);
+        let mut one_layer = true;
+        let (mut best, mut best_rank) = (0, self.admit_rank(f));
+        for (k, &p) in waiters.iter().enumerate().skip(1) {
+            let l = self.classify_pid(p);
+            one_layer &= l == f;
+            let r = self.admit_rank(l);
+            if r < best_rank {
+                (best, best_rank) = (k, r);
             }
-            // Cross-layer: admit the highest-ranked layer's writer first
-            // (latency layers, then tree order), FIFO within a layer.
-            let rank = |l: usize| -> usize {
-                if self.layers[l].latency_prio() {
-                    0
-                } else {
-                    l + 1
-                }
-            };
-            let mut best = 0;
-            for (k, &l) in layers.iter().enumerate() {
-                if rank(l) < rank(layers[best]) {
-                    best = k;
-                }
-            }
-            return best;
         }
-        0
+        // All in one layer: that child's policy decides.
+        if one_layer {
+            return self.layers[f].child.pick_dirty_waiter(waiters);
+        }
+        best
     }
 
     fn queued(&self) -> usize {
