@@ -9,28 +9,47 @@
 //! page is touched — at which point the run splits. Eviction shrinks the
 //! tail run from its oldest page. Every operation therefore does exactly
 //! what the per-page LRU would do (property-tested against a naive model
-//! below), but a 256-page fill costs one node and a sequential slot-table
-//! write instead of 256 list splices.
+//! below), but a 256-page fill costs one node and a few chunk-slice writes
+//! instead of 256 list splices.
 //!
-//! Residency lookup is a direct array index: each file gets a
-//! page-indexed slot table (grown lazily to the highest page touched), so
-//! the per-page hot path does no hashing. The only hash left is one
+//! Residency lookup is two array indexes: each file has a directory of
+//! [`CHUNK`]-page chunks, and a chunk holds one slot per page naming the
+//! covering node. A chunk exists only while some page in it is resident;
+//! chunks live in one pooled `Vec<u32>` and are recycled through a free
+//! list, so the index costs memory in proportion to the resident pages,
+//! not to the highest page of the file (a 1 GiB file with 300 resident
+//! pages costs a 16 KiB directory plus at most 300 chunks of 256 bytes).
+//! The per-page hot path does no hashing. The only hash left is one
 //! [`FastMap`] probe per *call* to resolve the file, and the range entry
 //! points ([`CleanCache::fill_range`], [`CleanCache::touch_at`]) hoist
 //! even that out of page loops. At capacity, fills recycle evicted
-//! nodes, so the streaming steady state touches the allocator not at all.
+//! nodes and chunks, so the streaming steady state touches the allocator
+//! not at all.
 
 use sim_core::{FastMap, FileId};
 
-/// Sentinel "null" link / empty slot.
+/// Sentinel "null" link / empty slot / missing chunk.
 const NIL: u32 = u32::MAX;
+
+/// log2 of [`CHUNK`].
+const CHUNK_SHIFT: u32 = 6;
+/// Pages per residency chunk. Small enough that a scattered resident
+/// page costs 256 bytes of index, large enough that a 256-page
+/// streaming fill touches only four or five chunks.
+const CHUNK: u64 = 1 << CHUNK_SHIFT;
+
+/// Index into the chunk pool of chunk `c`'s first slot.
+#[inline]
+fn chunk_base(c: u32) -> usize {
+    (c as usize) << CHUNK_SHIFT
+}
 
 /// One run of consecutively-filled pages `[start, start+len)` of one
 /// file. Within a run, `start` is the oldest page (runs are created by
 /// ascending fills); `prev` points toward MRU, `next` toward LRU.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// Handle into `files` (index of the owning file's slot table).
+    /// Handle into `files` (index of the owning file's residency directory).
     fh: u32,
     start: u64,
     len: u64,
@@ -38,11 +57,34 @@ struct Node {
     next: u32,
 }
 
-/// Per-file residency table: `slots[page]` holds the covering node.
+/// Per-file residency directory: `dir[page / CHUNK]` is the chunk
+/// holding `page`'s slot, or `NIL` when no page of that chunk is resident.
 #[derive(Debug, Default)]
 struct FileSlots {
     file: FileId,
-    slots: Vec<u32>,
+    dir: Vec<u32>,
+}
+
+/// Slot ranges of the chunks `[start, start+len)` crosses, as
+/// `(directory index, first slot, one past the last slot)` within the chunk.
+#[inline]
+fn chunk_spans(start: u64, len: u64) -> impl Iterator<Item = (usize, usize, usize)> {
+    let end = start + len;
+    let mut p = start;
+    std::iter::from_fn(move || {
+        if p >= end {
+            return None;
+        }
+        let ci = p >> CHUNK_SHIFT;
+        let to = end.min((ci + 1) << CHUNK_SHIFT);
+        let span = (
+            ci as usize,
+            (p & (CHUNK - 1)) as usize,
+            (to - (ci << CHUNK_SHIFT)) as usize,
+        );
+        p = to;
+        Some(span)
+    })
 }
 
 /// LRU-managed set of resident clean pages.
@@ -52,6 +94,12 @@ pub struct CleanCache {
     /// File -> handle into `files`.
     handles: FastMap<FileId, u32>,
     files: Vec<FileSlots>,
+    /// Chunk storage: chunk `c` is `pool[c * CHUNK..(c + 1) * CHUNK]`.
+    pool: Vec<u32>,
+    /// Resident pages per chunk; a chunk returns to `free_chunks` (all
+    /// slots `NIL`) when this drops to zero.
+    chunk_live: Vec<u32>,
+    free_chunks: Vec<u32>,
     /// Run-node storage; `free` recycles vacated nodes.
     nodes: Vec<Node>,
     free: Vec<u32>,
@@ -70,6 +118,9 @@ impl CleanCache {
             capacity_pages: capacity_pages.max(1),
             handles: FastMap::default(),
             files: Vec::new(),
+            pool: Vec::new(),
+            chunk_live: Vec::new(),
+            free_chunks: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -88,7 +139,7 @@ impl CleanCache {
         self.len == 0
     }
 
-    /// Resolve (or create) the slot-table handle for `file`.
+    /// Resolve (or create) the residency handle for `file`.
     fn handle(&mut self, file: FileId) -> u32 {
         if let Some(&h) = self.handles.get(&file) {
             return h;
@@ -96,7 +147,7 @@ impl CleanCache {
         let h = self.files.len() as u32;
         self.files.push(FileSlots {
             file,
-            slots: Vec::new(),
+            dir: Vec::new(),
         });
         self.handles.insert(file, h);
         h
@@ -105,21 +156,81 @@ impl CleanCache {
     /// Node covering `page`, or `NIL`.
     #[inline]
     fn node_at(&self, fh: u32, page: u64) -> u32 {
-        self.files[fh as usize]
-            .slots
-            .get(page as usize)
-            .copied()
-            .unwrap_or(NIL)
+        let dir = &self.files[fh as usize].dir;
+        match dir.get((page >> CHUNK_SHIFT) as usize) {
+            Some(&c) if c != NIL => self.pool[chunk_base(c) + (page & (CHUNK - 1)) as usize],
+            _ => NIL,
+        }
     }
 
-    /// Point `[start, start+len)` of file `fh` at node `i`.
+    /// Slots of chunk `c` from `from` to `to` (chunk-relative).
+    #[inline]
+    fn chunk_slots(&mut self, c: u32, from: usize, to: usize) -> &mut [u32] {
+        &mut self.pool[chunk_base(c) + from..chunk_base(c) + to]
+    }
+
+    /// Point resident pages `[start, start+len)` of file `fh` at node `i`
+    /// (their chunks exist).
+    #[inline]
     fn set_slots(&mut self, fh: u32, start: u64, len: u64, i: u32) {
-        let slots = &mut self.files[fh as usize].slots;
-        let end = (start + len) as usize;
-        if slots.len() < end {
-            slots.resize(end, NIL);
+        for (ci, from, to) in chunk_spans(start, len) {
+            let c = self.files[fh as usize].dir[ci];
+            self.chunk_slots(c, from, to).fill(i);
         }
-        slots[start as usize..end].fill(i);
+    }
+
+    /// Point non-resident pages `[start, start+len)` of file `fh` at node
+    /// `i`, taking a chunk for each one that has none.
+    #[inline]
+    fn occupy_slots(&mut self, fh: u32, start: u64, len: u64, i: u32) {
+        for (ci, from, to) in chunk_spans(start, len) {
+            let c = match self.files[fh as usize].dir.get(ci) {
+                Some(&c) if c != NIL => c,
+                _ => self.new_chunk(fh, ci),
+            };
+            self.chunk_slots(c, from, to).fill(i);
+            self.chunk_live[c as usize] += (to - from) as u32;
+        }
+    }
+
+    /// Mark resident pages `[start, start+len)` of file `fh` non-resident,
+    /// releasing every chunk left with no resident page.
+    #[inline]
+    fn clear_slots(&mut self, fh: u32, start: u64, len: u64) {
+        for (ci, from, to) in chunk_spans(start, len) {
+            let c = self.files[fh as usize].dir[ci];
+            self.chunk_slots(c, from, to).fill(NIL);
+            let live = &mut self.chunk_live[c as usize];
+            *live -= (to - from) as u32;
+            if *live == 0 {
+                self.files[fh as usize].dir[ci] = NIL;
+                self.free_chunks.push(c);
+            }
+        }
+    }
+
+    /// Attach an all-`NIL` chunk at directory index `ci` of file `fh`.
+    #[cold]
+    fn new_chunk(&mut self, fh: u32, ci: usize) -> u32 {
+        let c = self.free_chunks.pop().unwrap_or_else(|| {
+            let c = self.chunk_live.len() as u32;
+            self.pool.resize(self.pool.len() + CHUNK as usize, NIL);
+            self.chunk_live.push(0);
+            c
+        });
+        let dir = &mut self.files[fh as usize].dir;
+        if dir.len() <= ci {
+            dir.resize(ci + 1, NIL);
+        }
+        dir[ci] = c;
+        c
+    }
+
+    /// Slots the residency index holds: pooled chunk slots plus every
+    /// file's directory entries.
+    #[cfg(test)]
+    pub(crate) fn index_slots(&self) -> usize {
+        self.pool.len() + self.files.iter().map(|f| f.dir.len()).sum::<usize>()
     }
 
     /// Unlink node `i` from the recency list.
@@ -185,13 +296,13 @@ impl CleanCache {
             debug_assert_ne!(t, NIL);
             let Node { fh, start, len, .. } = self.nodes[t as usize];
             if len <= k {
-                self.set_slots(fh, start, len, NIL);
+                self.clear_slots(fh, start, len);
                 self.unlink(t);
                 self.free.push(t);
                 self.len -= len;
                 k -= len;
             } else {
-                self.set_slots(fh, start, k, NIL);
+                self.clear_slots(fh, start, k);
                 let n = &mut self.nodes[t as usize];
                 n.start += k;
                 n.len -= k;
@@ -302,7 +413,7 @@ impl CleanCache {
             next: NIL,
         });
         self.link_front(i);
-        self.set_slots(fh, start, len, i);
+        self.occupy_slots(fh, start, len, i);
         self.len += len;
     }
 
@@ -314,7 +425,7 @@ impl CleanCache {
         self.touch_at(fh, page)
     }
 
-    /// Slot-table handle of `file`, if it ever held pages. Lets range
+    /// Residency handle of `file`, if it ever held pages. Lets range
     /// scans pay the file lookup once (see [`CleanCache::touch_at`]).
     pub(crate) fn file_handle(&self, file: FileId) -> Option<u32> {
         self.handles.get(&file).copied()
@@ -325,19 +436,22 @@ impl CleanCache {
     /// instead of a probe call per page. Read-only — misses don't touch
     /// the LRU, so skipping them wholesale is observationally identical.
     pub(crate) fn miss_run_len(&self, fh: u32, page: u64, max: u64) -> u64 {
-        let slots = &self.files[fh as usize].slots;
-        let start = page as usize;
-        if start >= slots.len() {
-            // Past the slot table: nothing there was ever resident.
-            return max;
-        }
-        let end = slots.len().min(start + max as usize);
-        for (n, &s) in slots[start..end].iter().enumerate() {
-            if s != NIL {
-                return n as u64;
+        let dir = &self.files[fh as usize].dir;
+        let mut skipped = 0;
+        for (ci, from, to) in chunk_spans(page, max) {
+            // Past the directory: nothing there is resident.
+            let Some(&c) = dir.get(ci) else {
+                return max;
+            };
+            // A missing chunk is a whole chunk of misses.
+            if c != NIL {
+                let slots = &self.pool[chunk_base(c) + from..chunk_base(c) + to];
+                if let Some(n) = slots.iter().position(|&s| s != NIL) {
+                    return skipped + n as u64;
+                }
             }
+            skipped += (to - from) as u64;
         }
-        // Ran off the end of the table; the stretch beyond it is all miss.
         max
     }
 
@@ -351,8 +465,8 @@ impl CleanCache {
         true
     }
 
-    /// Drop all pages of `file`. The slot table is kept (cleared) so a
-    /// later re-fill reuses its capacity.
+    /// Drop all pages of `file`. Its chunks return to the pool; the
+    /// directory is kept (all `NIL`) so a later re-fill reuses it.
     pub fn remove_file(&mut self, file: FileId) {
         let Some(&fh) = self.handles.get(&file) else {
             return;
@@ -362,14 +476,21 @@ impl CleanCache {
         let mut i = self.head;
         while i != NIL {
             let next = self.nodes[i as usize].next;
-            if self.nodes[i as usize].fh == fh {
-                self.len -= self.nodes[i as usize].len;
+            let Node {
+                fh: owner,
+                start,
+                len,
+                ..
+            } = self.nodes[i as usize];
+            if owner == fh {
+                self.clear_slots(fh, start, len);
+                self.len -= len;
                 self.unlink(i);
                 self.free.push(i);
             }
             i = next;
         }
-        self.files[fh as usize].slots.fill(NIL);
+        debug_assert!(self.files[fh as usize].dir.iter().all(|&c| c == NIL));
         debug_assert_eq!(self.files[fh as usize].file, file);
     }
 }
@@ -497,12 +618,13 @@ mod tests {
         }
     }
 
-    /// The extent-compressed cache must be observationally identical to
-    /// the naive page LRU under fuzzed fills, touches, and removals.
-    #[test]
-    fn differential_against_naive_page_lru() {
+    /// Drive `real` and the naive model through fuzzed fills, touches
+    /// and removals at the pages `pick` draws (with the most pages a fill
+    /// from there may add past the first), asserting identical answers
+    /// and a chunk index that accounts for every resident page.
+    fn run_differential(salt: u64, pick: fn(&mut SimRng) -> (u64, u64)) {
         for seed in 0..12u64 {
-            let mut rng = SimRng::seed_from_u64(0xc1ea_ca0e ^ seed);
+            let mut rng = SimRng::seed_from_u64(salt ^ seed);
             let cap = 1 + rng.gen_range(96);
             let mut real = CleanCache::new(cap);
             let mut model = ModelLru {
@@ -511,14 +633,14 @@ mod tests {
             };
             for _ in 0..2_000 {
                 let file = FileId(1 + rng.gen_range(3));
-                let page = rng.gen_range(64);
+                let (page, max_extra) = pick(&mut rng);
                 match rng.gen_range(10) {
                     0 => {
                         real.remove_file(file);
                         model.remove_file(file);
                     }
                     1..=4 => {
-                        let len = 1 + rng.gen_range(24).min(63 - page);
+                        let len = 1 + rng.gen_range(24).min(max_extra);
                         real.fill_range(file, page, len);
                         for p in page..page + len {
                             model.insert(file, p);
@@ -537,6 +659,8 @@ mod tests {
                     }
                 }
                 assert_eq!(real.len(), model.order.len() as u64, "len (seed {seed})");
+                let live: u64 = real.chunk_live.iter().map(|&n| n as u64).sum();
+                assert_eq!(live, real.len(), "chunk counts (seed {seed})");
             }
             // Final sweep: every key agrees. Probe in model order so the
             // touches themselves cannot cause divergence.
@@ -545,6 +669,63 @@ mod tests {
                 assert!(real.touch(f, p), "page ({f:?},{p}) missing (seed {seed})");
                 assert!(model.touch(f, p));
             }
+            // Emptying the cache hands every chunk back to the pool.
+            for f in 1..=3 {
+                real.remove_file(FileId(f));
+            }
+            assert!(real.is_empty());
+            assert_eq!(real.free_chunks.len(), real.chunk_live.len(), "seed {seed}");
         }
+    }
+
+    /// The extent-compressed cache must be observationally identical to
+    /// the naive page LRU under fuzzed fills, touches, and removals.
+    #[test]
+    fn differential_against_naive_page_lru() {
+        run_differential(0xc1ea_ca0e, |rng| {
+            let page = rng.gen_range(64);
+            (page, 63 - page)
+        });
+    }
+
+    /// The same over sparse pages: both sides of chunk boundaries, pages
+    /// above 2^20 and 2^22, with fills crossing chunks and eviction
+    /// shrinking runs that span them.
+    #[test]
+    fn differential_sparse_pages_against_naive_page_lru() {
+        const ANCHORS: [u64; 6] = [0, CHUNK, 3 * CHUNK, 1 << 20, (1 << 20) + CHUNK, 5 << 22];
+        run_differential(0x5ba5_e000, |rng| {
+            let anchor = ANCHORS[rng.gen_range(ANCHORS.len() as u64) as usize];
+            ((anchor + rng.gen_range(40)).saturating_sub(16), u64::MAX)
+        });
+    }
+
+    /// Scattered single pages cost at most one chunk each plus the
+    /// directory, not a slot per page up to the highest one touched; and
+    /// under eviction the pool stays sized by what is resident.
+    #[test]
+    fn index_footprint_follows_resident_pages() {
+        const FILE_PAGES: u64 = 4 << 20;
+        let dir = (FILE_PAGES / CHUNK) as usize;
+        let mut rng = SimRng::seed_from_u64(0xf00d);
+        let mut c = CleanCache::new(1_000);
+        for _ in 0..300 {
+            c.insert(FileId(1), rng.gen_range(FILE_PAGES));
+        }
+        assert!(
+            c.index_slots() <= 300 * CHUNK as usize + dir,
+            "index holds {} slots",
+            c.index_slots()
+        );
+        let mut c = CleanCache::new(300);
+        for _ in 0..3_000 {
+            c.insert(FileId(1), rng.gen_range(FILE_PAGES));
+        }
+        assert_eq!(c.len(), 300);
+        assert!(
+            c.index_slots() <= 301 * CHUNK as usize + dir,
+            "index holds {} slots",
+            c.index_slots()
+        );
     }
 }

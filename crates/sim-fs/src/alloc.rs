@@ -112,11 +112,14 @@ impl Allocator {
     }
 }
 
-/// Per-file extent map.
+/// Per-file extent map: non-overlapping runs kept sorted by first page
+/// in one `Vec`. Files are written front to back and preallocated in
+/// page order, so nearly every insert appends; a scattered file of `n`
+/// runs costs one allocation (see [`ExtentMap::with_capacity`]) instead
+/// of a tree node per few runs.
 #[derive(Debug, Default, Clone)]
 pub struct ExtentMap {
-    // page -> (start block, len); non-overlapping, keyed by first page.
-    runs: std::collections::BTreeMap<u64, (BlockNo, u64)>,
+    runs: Vec<Extent>,
 }
 
 impl ExtentMap {
@@ -125,19 +128,60 @@ impl ExtentMap {
         Self::default()
     }
 
-    /// Record that pages `[page, page+len)` live at `start`.
+    /// Empty map with room for `runs` runs.
+    pub fn with_capacity(runs: usize) -> Self {
+        ExtentMap {
+            runs: Vec::with_capacity(runs),
+        }
+    }
+
+    /// Record that pages `[page, page+len)` live at `start`. A run
+    /// already keyed at `page` is replaced. Runs must not overlap.
     pub fn insert(&mut self, page: u64, start: BlockNo, len: u64) {
-        self.runs.insert(page, (start, len));
+        let run = Extent { page, start, len };
+        if self.runs.last().is_none_or(|last| last.page < page) {
+            debug_assert!(self.runs.last().is_none_or(|l| l.page_end() <= page));
+            self.runs.push(run);
+            return;
+        }
+        let i = match self.runs.binary_search_by_key(&page, |e| e.page) {
+            Ok(i) => {
+                self.runs[i] = run;
+                i
+            }
+            Err(i) => {
+                self.runs.insert(i, run);
+                i
+            }
+        };
+        debug_assert!(i == 0 || self.runs[i - 1].page_end() <= page);
+        debug_assert!(self
+            .runs
+            .get(i + 1)
+            .is_none_or(|n| run.page_end() <= n.page));
+    }
+
+    /// Runs that can overlap `[page, end)`, in page order: from the run
+    /// starting at or before `page` (else the first after it) on.
+    fn window(&self, page: u64, end: u64) -> impl Iterator<Item = &Extent> {
+        let first = self
+            .runs
+            .partition_point(|e| e.page <= page)
+            .saturating_sub(1);
+        self.runs[first..]
+            .iter()
+            .take_while(move |e| e.page < end)
+            .filter(move |e| e.page_end() > page)
     }
 
     /// Location of one page, if allocated.
     pub fn lookup(&self, page: u64) -> Option<BlockNo> {
-        let (&p0, &(start, len)) = self.runs.range(..=page).next_back()?;
-        if page < p0 + len {
-            Some(BlockNo(start.raw() + (page - p0)))
-        } else {
-            None
-        }
+        let i = self
+            .runs
+            .partition_point(|e| e.page <= page)
+            .checked_sub(1)?;
+        let e = &self.runs[i];
+        (page < e.page_end()).then(|| BlockNo(e.start.raw() + (page - e.page)))
     }
 
     /// Extents covering `[page, page+len)`, clipped; holes omitted.
@@ -152,46 +196,40 @@ impl ExtentMap {
     pub fn extents_for_into(&self, page: u64, len: u64, out: &mut Vec<Extent>) {
         out.clear();
         let end = page + len;
-        // Consider the run that may begin before `page` plus all runs
-        // starting inside the window.
-        let start_key = self
-            .runs
-            .range(..=page)
-            .next_back()
-            .map(|(&k, _)| k)
-            .unwrap_or(page);
-        for (&p0, &(b0, l0)) in self.runs.range(start_key..end) {
-            let run_end = p0 + l0;
-            if run_end <= page || p0 >= end {
-                continue;
-            }
-            let from = page.max(p0);
-            let to = end.min(run_end);
-            out.push(Extent {
+        out.extend(self.window(page, end).map(|e| {
+            let from = page.max(e.page);
+            Extent {
                 page: from,
-                start: BlockNo(b0.raw() + (from - p0)),
-                len: to - from,
-            });
+                start: BlockNo(e.start.raw() + (from - e.page)),
+                len: end.min(e.page_end()) - from,
+            }
+        }));
+    }
+
+    /// Unallocated runs of `[page, page+len)` as `(first page, len)`, in
+    /// page order, into a caller-owned buffer (cleared first).
+    pub fn holes_into(&self, page: u64, len: u64, out: &mut Vec<(u64, u64)>) {
+        out.clear();
+        let end = page + len;
+        let mut at = page;
+        for e in self.window(page, end) {
+            if e.page > at {
+                out.push((at, e.page - at));
+            }
+            at = e.page_end();
+        }
+        if at < end {
+            out.push((at, end - at));
         }
     }
 
     /// Whether every page of `[page, page+len)` is allocated.
     pub fn fully_allocated(&self, page: u64, len: u64) -> bool {
         let end = page + len;
-        let start_key = self
-            .runs
-            .range(..=page)
-            .next_back()
-            .map(|(&k, _)| k)
-            .unwrap_or(page);
-        let mut covered = 0;
-        for (&p0, &(_, l0)) in self.runs.range(start_key..end) {
-            let run_end = p0 + l0;
-            if run_end <= page || p0 >= end {
-                continue;
-            }
-            covered += end.min(run_end) - page.max(p0);
-        }
+        let covered: u64 = self
+            .window(page, end)
+            .map(|e| end.min(e.page_end()) - page.max(e.page))
+            .sum();
         covered == len
     }
 }

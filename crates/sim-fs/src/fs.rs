@@ -84,11 +84,7 @@ struct Inode {
 #[derive(Debug, Clone)]
 enum TokenOwner {
     /// File data (fsync flush, writeback, or ordered flush).
-    Data {
-        file: FileId,
-        fsync: Option<u64>,
-        wb_pass: Option<u64>,
-    },
+    Data { file: FileId, wb_pass: Option<u64> },
     /// The journal log body of the in-flight commit.
     JournalLog,
     /// The commit record of the in-flight commit.
@@ -161,6 +157,8 @@ pub struct JournaledFs {
     aborted: Option<IoError>,
     /// Reusable extent buffer for the flush hot loop.
     extent_scratch: Vec<Extent>,
+    /// Reusable hole buffer for delayed allocation in the flush loop.
+    hole_scratch: Vec<(u64, u64)>,
 }
 
 /// ext4 preset.
@@ -205,6 +203,7 @@ impl JournaledFs {
             tracer: Tracer::new(),
             aborted: None,
             extent_scratch: Vec::new(),
+            hole_scratch: Vec::new(),
         }
     }
 
@@ -245,7 +244,6 @@ impl JournaledFs {
         max_pages: u64,
         submitter: Pid,
         sync: bool,
-        fsync: Option<u64>,
         wb_pass: Option<u64>,
         cache: &mut PageCache,
         now: SimTime,
@@ -256,41 +254,20 @@ impl JournaledFs {
         // Reused across ranges (and calls) so the flush loop stays off the
         // allocator; taken out of `self` to free the borrow.
         let mut extents = std::mem::take(&mut self.extent_scratch);
+        let mut holes = std::mem::take(&mut self.hole_scratch);
         self.inodes.entry(file).or_default();
         for range in ranges {
             // Delayed allocation: assign blocks now if the range is new.
             // Allocation dirties shared metadata (bitmap + inode), joining
             // the running transaction on behalf of the range's causes.
-            if !self.inodes[&file]
+            self.inodes[&file]
                 .extents
-                .fully_allocated(range.start_page, range.len)
-            {
-                // Find the unallocated runs first, then allocate them.
-                let mut unalloc_runs: Vec<(u64, u64)> = Vec::new();
-                {
-                    let inode = &self.inodes[&file];
-                    let mut page = range.start_page;
-                    let end = range.start_page + range.len;
-                    while page < end {
-                        if inode.extents.lookup(page).is_some() {
-                            page += 1;
-                            continue;
-                        }
-                        let mut run = 1;
-                        while page + run < end && inode.extents.lookup(page + run).is_none() {
-                            run += 1;
-                        }
-                        unalloc_runs.push((page, run));
-                        page += run;
-                    }
-                }
-                for (mut page, run) in unalloc_runs {
+                .holes_into(range.start_page, range.len, &mut holes);
+            if !holes.is_empty() {
+                let inode = self.inodes.get_mut(&file).expect("inode exists");
+                for &(mut page, run) in &holes {
                     for (start, len) in self.allocator.alloc(file, run) {
-                        self.inodes
-                            .get_mut(&file)
-                            .expect("inode exists")
-                            .extents
-                            .insert(page, start, len);
+                        inode.extents.insert(page, start, len);
                         page += len;
                     }
                 }
@@ -312,11 +289,7 @@ impl JournaledFs {
                 let mut off = 0;
                 while off < e.len {
                     let chunk = (e.len - off).min(MAX_REQ_BLOCKS);
-                    let tok = self.token(TokenOwner::Data {
-                        file,
-                        fsync,
-                        wb_pass,
-                    });
+                    let tok = self.token(TokenOwner::Data { file, wb_pass });
                     self.inflight_data.entry(file).or_default().insert(tok);
                     tokens.push(tok);
                     out.ios.push(IoReq {
@@ -336,6 +309,7 @@ impl JournaledFs {
             }
         }
         self.extent_scratch = extents;
+        self.hole_scratch = holes;
         tokens
     }
 
@@ -371,7 +345,6 @@ impl JournaledFs {
                 u64::MAX,
                 self.journal_pid,
                 true,
-                None,
                 None,
                 cache,
                 now,
@@ -623,7 +596,11 @@ impl FileSystem for JournaledFs {
         let npages = sim_core::pages_for_bytes(bytes);
         let mut inode = Inode {
             size: bytes,
-            extents: ExtentMap::new(),
+            extents: ExtentMap::with_capacity(if contiguous {
+                1
+            } else {
+                npages.div_ceil(self.cfg.scatter_chunk.max(1)) as usize
+            }),
         };
         if contiguous {
             let start = self.allocator.alloc_contiguous(npages);
@@ -671,17 +648,7 @@ impl FileSystem for JournaledFs {
             .get(&file)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
-        let tokens = self.flush_file_data(
-            file,
-            u64::MAX,
-            pid,
-            true,
-            Some(id),
-            None,
-            cache,
-            now,
-            &mut out,
-        );
+        let tokens = self.flush_file_data(file, u64::MAX, pid, true, None, cache, now, &mut out);
         pending.extend(tokens);
         // Which transaction must commit before this fsync returns?
         let wait_txn = self.journal.txn_of(file).or_else(|| match &self.commit {
@@ -770,17 +737,8 @@ impl FileSystem for JournaledFs {
             // resolved inside flush via the range tags; the registry entry
             // demonstrates delegation for assertions/overhead accounting.
             let take = before.min(budget);
-            let toks = self.flush_file_data(
-                f,
-                take,
-                proxy,
-                false,
-                None,
-                Some(pass),
-                cache,
-                now,
-                &mut out,
-            );
+            let toks =
+                self.flush_file_data(f, take, proxy, false, Some(pass), cache, now, &mut out);
             let taken = before - cache.dirty_pages_of(f);
             pages += taken;
             budget = budget.saturating_sub(taken);
@@ -826,18 +784,13 @@ impl FileSystem for JournaledFs {
             return out;
         };
         match owner {
-            TokenOwner::Data {
-                file,
-                fsync,
-                wb_pass,
-            } => {
+            TokenOwner::Data { file, wb_pass } => {
                 if let Some(set) = self.inflight_data.get_mut(&file) {
                     set.remove(&token);
                     if set.is_empty() {
                         self.inflight_data.remove(&file);
                     }
                 }
-                let _ = fsync;
                 // Any fsync may be waiting on this token (its own flush or
                 // a pre-existing in-flight write of the same file).
                 let mut drained = Vec::new();
@@ -915,11 +868,7 @@ impl FileSystem for JournaledFs {
             return out;
         };
         match owner {
-            TokenOwner::Data {
-                file,
-                fsync: _,
-                wb_pass,
-            } => {
+            TokenOwner::Data { file, wb_pass } => {
                 if let Some(set) = self.inflight_data.get_mut(&file) {
                     set.remove(&token);
                     if set.is_empty() {
